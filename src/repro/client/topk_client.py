@@ -44,7 +44,6 @@ def connect(
     shards: int | list[str] | tuple[str, ...] = 0,
     cache: bool = True,
     cache_capacity: int = 256,
-    coalesce_ms: float = 0.0,
     warm_start: bool = False,
     metrics_port: int | None = None,
     state_dir: str | None = None,
@@ -78,11 +77,6 @@ def connect(
         scheme still records the repeat, since ``query_pattern`` is
         exactly what the paper's L1 profile says S1 learns.  Opt out
         per query with ``QueryConfig(cache=False)`` or globally here.
-    ``coalesce_ms``
-        When positive, concurrent jobs on this relation that reach a
-        round boundary within that window share one physical
-        round-trip (``stats.coalesced_rounds`` counts them); per-job
-        transcripts stay bit-identical to solo runs.  ``0`` disables.
     ``warm_start``
         Use the relation's observed halting depths (L1's
         ``halting_depth``) to place the first halting check just below
@@ -115,7 +109,6 @@ def connect(
         shards=shards,
         cache=cache,
         cache_capacity=cache_capacity,
-        coalesce_ms=coalesce_ms,
         warm_start=warm_start,
         metrics_port=metrics_port,
         state_dir=state_dir,
@@ -160,8 +153,8 @@ class TopKClient:
 
     @property
     def stats(self) -> dict:
-        """Reuse-layer counters: result-cache hits/misses/evictions,
-        the coalescing window, and the current warm-start depth hint."""
+        """Reuse-layer counters: result-cache hits/misses/evictions
+        and the current warm-start depth hint."""
         return self._server.stats
 
     # -- the job surface --------------------------------------------------

@@ -401,7 +401,6 @@ class SecTopK:
         on_event=None,
         control=None,
         session_label: str | None = None,
-        transport_wrap=None,
     ) -> S1Context:
         """Wire up a fresh S1 context and S2 crypto cloud.
 
@@ -449,7 +448,6 @@ class SecTopK:
             session_label=session_label if session_label is not None else salt,
             on_event=on_event,
             control=control,
-            transport_wrap=transport_wrap,
         )
 
     def query(

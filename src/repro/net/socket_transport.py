@@ -385,47 +385,6 @@ class S2Client:
         """One protocol round: REQUEST out, the matching REPLY payload back."""
         return self._expect(self._roundtrip(REQUEST, session_id, data), REPLY)
 
-    # -- split-phase request (scan rendezvous) ---------------------------
-
-    def request_begin(self, session_id: int, data: bytes):
-        """Send one REQUEST frame without waiting; returns the waiter.
-
-        The split lets several sessions' frames go out back-to-back on
-        the shared socket before any reply is collected — the wire shape
-        of one combined round-trip.  Pair with :meth:`request_finish`
-        (exactly once) after a successful begin.
-        """
-        with self._state_lock:
-            if self._dead is not None:
-                raise PeerDisconnected(
-                    f"connection to {self.address} is down: {self._dead}"
-                ) from self._dead
-            if session_id in self._pending:
-                raise TransportError(
-                    f"session {session_id} already has a request in flight"
-                )
-            waiter: queue.SimpleQueue = queue.SimpleQueue()
-            self._pending[session_id] = waiter
-        try:
-            with self._write_lock:
-                send_frame(self._sock, REQUEST, session_id, data)
-        except BaseException:
-            with self._state_lock:
-                self._pending.pop(session_id, None)
-            raise
-        return waiter
-
-    def request_finish(self, session_id: int, waiter) -> bytes:
-        """Collect the REPLY of a :meth:`request_begin`."""
-        try:
-            item = waiter.get()
-        finally:
-            with self._state_lock:
-                self._pending.pop(session_id, None)
-        if isinstance(item, Exception):
-            raise item
-        return self._expect(item, REPLY)
-
     # -- handshake / session lifecycle -----------------------------------
 
     def open_session(
@@ -522,29 +481,13 @@ class SocketTransport(Transport):
         self._closed = False
 
     def exchange(self, messages: list) -> list:
-        return self.finish_exchange(self.begin_exchange(messages))
-
-    def begin_exchange(self, messages: list):
-        """Put this session's REQUEST frame on the shared socket; the
-        session lock is held until :meth:`finish_exchange` collects the
-        demultiplexed REPLY."""
-        self._lock.acquire()
-        try:
+        with self._lock:
             if self._closed:
                 raise TransportError("session transport is closed")
-            return self._client.request_begin(
+            payload = self._client.request(
                 self.session_id, self._codec.encode_envelope(messages)
             )
-        except BaseException:
-            self._lock.release()
-            raise
-
-    def finish_exchange(self, state) -> list:
-        try:
-            payload = self._client.request_finish(self.session_id, state)
             decoded = self._codec.decode_value(_Reader(payload))
-        finally:
-            self._lock.release()
         if len(decoded) >= 3:
             # /3 REPLY: (replies, leaked, progress) — progress entries
             # are (batches, values, microseconds) int triples (the wire

@@ -512,7 +512,6 @@ def _wire_clouds(
     session_label: str = "",
     on_event=None,
     control=None,
-    transport_wrap=None,
 ) -> S1Context:
     """Assemble the two-cloud wiring: crypto cloud behind a dispatcher
     behind a ``transport``, and an S1 context in front of it.
@@ -537,12 +536,6 @@ def _wire_clouds(
     attribute sessions to the jobs that opened them; ``on_event`` /
     ``control`` are the context's progress and job-control hooks (see
     :class:`S1Context`).
-
-    ``transport_wrap`` (optional) is applied to the fully-built link —
-    latency shim included — before the context is assembled; the server's
-    scan rendezvous interposes its per-job
-    :class:`~repro.server.rendezvous.CoalescingTransport` here, at the
-    exact point :class:`~repro.net.batching.RoundBatcher` flushes rounds.
     """
     from repro.net.socket_transport import is_socket_address, open_remote_session
     from repro.net.transport import LatencyTransport
@@ -586,8 +579,6 @@ def _wire_clouds(
     else:
         cloud = CryptoCloud(keypair, dj, s2_rng, leakage, compute=compute)
         link = make_transport(transport, S2Dispatcher(cloud), rtt_ms=rtt_ms)
-    if transport_wrap is not None:
-        link = transport_wrap(link)
     return S1Context(
         public_key=keypair.public_key,
         dj=dj,

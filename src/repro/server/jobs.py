@@ -67,11 +67,8 @@ class JobControl:
 
     The S1 context holds a reference and calls :meth:`check` before
     every round flush; raising here is what aborts the query at the
-    next safe point.  The check fires *before* the round enters the
-    scan rendezvous (when coalescing is on), and ``TopKServer.close()``
-    additionally fails the rendezvous itself — so a job parked at the
-    coalescing barrier surfaces :class:`~repro.exceptions.JobCancelled`
-    rather than hanging on peers that will never arrive.
+    next safe point, so a cancelled job never puts another request on
+    the link.
     """
 
     __slots__ = ("_cancelled", "_deadline")

@@ -8,9 +8,9 @@ host)::
         [--backend auto] [--state-dir /var/lib/repro-s2]
 
 The daemon owns nothing at start — no keys, no relations.  A client
-(the S1 side: :class:`~repro.server.topk_server.TopKServer` or any
-``scheme.make_clouds(transport="tcp://...")``) provisions it through
-the frame protocol of :mod:`repro.net.socket_transport`:
+(the S1 side: :class:`~repro.server.topk_server.TopKServer`, e.g. via
+``repro.connect(scheme, relation, "tcp://...")``) provisions it
+through the frame protocol of :mod:`repro.net.socket_transport`:
 
 1. **HELLO** — version banner check, once per connection.
 2. **REGISTER** — the data owner's provisioning step (Section 3.1):
@@ -696,9 +696,8 @@ class S2Service:
             self._counters["requests_served"].inc()
             self._counters["requests_in_flight"].inc()
             in_flight = self._counters["requests_in_flight"].value
-            # Peak concurrency is how rendezvous coalescing shows up on
-            # the daemon side: a coalesced group of N jobs lands N
-            # REQUEST frames near-simultaneously.
+            # Peak concurrency shows how many client sessions overlap
+            # their rounds on the daemon (one REQUEST in flight each).
             if in_flight > self._counters["requests_in_flight_peak"].value:
                 self._counters["requests_in_flight_peak"].set(in_flight)
 

@@ -83,7 +83,6 @@ from repro.protocols.base import LeakageEvent, LeakageLog, S1Context, owned_cont
 from repro.server.jobs import JobStatus, QueryJob, WatchJob, WatchSummary
 from repro.server.mutations import MutableRelation, MutationResult, mutation_delta
 from repro.server.query_cache import QueryCache
-from repro.server.rendezvous import CoalescingTransport, ScanRendezvous
 from repro.server.sharding import invalidate_slices
 
 _QUEUE_DEPTH = REGISTRY.gauge(
@@ -210,7 +209,6 @@ def _run_salted_query(
     control=None,
     session_label: str | None = None,
     shard_executor=None,
-    transport_wrap=None,
     shard_placement: tuple[str, ...] | None = None,
 ) -> QueryResult:
     """One salted query with leakage attached — the single body behind
@@ -219,15 +217,13 @@ def _run_salted_query(
 
     ``on_event`` / ``control`` are the job hooks (progress streaming,
     cooperative cancellation); they are observations only, so a hooked
-    run is transcript-identical to a bare one.  ``transport_wrap``
-    interposes on the context's link (the scan rendezvous rides here).
-    When the query fails, a dead transport's secondary close error is
+    run is transcript-identical to a bare one.  When the query fails, a dead transport's secondary close error is
     suppressed so the original failure surfaces undisturbed.
     """
     ctx = scheme._make_context(
         transport=transport, salt=salt, compute=compute, rtt_ms=rtt_ms,
         relation=relation, on_event=on_event, control=control,
-        session_label=session_label, transport_wrap=transport_wrap,
+        session_label=session_label,
     )
     with owned_context(ctx):
         # scheme._query attaches the per-query leakage slice itself; on
@@ -404,14 +400,6 @@ class TopKServer:
         accounting a cache hit would falsify.
     cache_capacity:
         LRU bound of the result cache (entries).
-    coalesce_ms:
-        Scan-rendezvous window (default 0 = off): with ``N >= 2``
-        concurrent jobs running, a job reaching a round boundary holds
-        the door this many milliseconds for the others, and the group's
-        S2 requests go out as one combined round-trip (per-job
-        transcripts stay bit-identical to solo runs; see
-        :mod:`repro.server.rendezvous`).  Pick a couple of milliseconds
-        — enough for scheduling jitter, far below an RTT.
     warm_start:
         Make every query warm-start by default (as if
         ``QueryConfig(warm_start=True)``): the engine's first halting
@@ -442,7 +430,6 @@ class TopKServer:
         shards: int | list[str] | tuple[str, ...] = 0,
         cache: bool = True,
         cache_capacity: int = 256,
-        coalesce_ms: float = 0.0,
         warm_start: bool = False,
         metrics_port: int | None = None,
         state_dir: str | None = None,
@@ -491,17 +478,13 @@ class TopKServer:
             if shards < 0:
                 raise ValueError("shards must be >= 0")
             self.shard_placement = None
-        if coalesce_ms < 0:
-            raise ValueError("coalesce_ms must be >= 0")
         if cache_capacity < 1:
             raise ValueError("cache_capacity must be >= 1")
         self.shards = shards
         self.warm_start = warm_start
-        self.coalesce_ms = coalesce_ms
-        # Cross-query reuse layer: result cache + scan rendezvous (see
-        # ARCHITECTURE.md, reuse layer).
+        # Cross-query reuse layer: the result cache (see ARCHITECTURE.md,
+        # reuse layer).
         self._cache = QueryCache(cache_capacity) if cache else None
-        self._rendezvous = ScanRendezvous(coalesce_ms) if coalesce_ms > 0 else None
         # Shard-worker thread pool, created on the first sharded job and
         # shared by every job/session of this server (the scheduler's
         # placement target for shard slice preparation and window
@@ -719,7 +702,6 @@ class TopKServer:
         result.depth_seconds = []
         result.shard_stats = None
         result.cache_hit = True
-        result.coalesced_rounds = 0
         result.trace = None  # the serving job attaches its own timeline
         return result
 
@@ -1159,7 +1141,6 @@ class TopKServer:
         return {
             "cache": cache_stats,
             "scheduler": scheduler,
-            "coalesce_ms": self.coalesce_ms,
             "warm_start": self.warm_start,
             "halting_depth_hint": self.scheme.halting_depth_hint(
                 self._relation_key
@@ -1337,11 +1318,9 @@ class TopKServer:
         """Default runner: the job's query in this scheduler thread
         (shard work, if any, placed on the server's shard-worker pool).
 
-        Reuse layer, in order: a cache hit returns immediately (zero
-        rounds, no rendezvous enrollment — the job exchanges nothing);
-        otherwise the job enrolls in the scan rendezvous (when enabled)
-        so its rounds can share round-trips with concurrent jobs, and
-        its fresh result feeds the cache on the way out.
+        Reuse layer: a cache hit returns immediately (zero rounds — the
+        job exchanges nothing); otherwise the fresh result feeds the
+        cache on the way out.
         """
         # Snapshot the served relation and its key together: a mutation
         # landing mid-job swaps both atomically, and a job must never
@@ -1355,17 +1334,6 @@ class TopKServer:
         cached = self._cache_lookup(job.token, job.config, relation_key)
         if cached is not None:
             return cached
-        rendezvous = self._rendezvous
-        wrappers: list[CoalescingTransport] = []
-        transport_wrap = None
-        if rendezvous is not None:
-
-            def transport_wrap(link):
-                wrapper = CoalescingTransport(link, rendezvous)
-                wrappers.append(wrapper)
-                return wrapper
-
-            rendezvous.enroll()
 
         def on_batch(op, values, seconds):
             # Compute-pool batches run on this job's thread (inprocess
@@ -1373,29 +1341,22 @@ class TopKServer:
             # to exactly this job's event stream and trace.
             job._record_event(PoolBatch(op=op, values=values, seconds=seconds))
 
-        try:
-            with observe_batches(on_batch):
-                result = _run_salted_query(
-                    self.scheme,
-                    relation,
-                    self.transport,
-                    self.rtt_ms,
-                    self._compute,
-                    self._request_salt(job.job_id),
-                    job.token,
-                    job.config,
-                    on_event=job._record_event,
-                    control=job._control,
-                    session_label=f"job-{job.job_id}",
-                    shard_executor=self._shard_executor(job.config),
-                    transport_wrap=transport_wrap,
-                    shard_placement=self.shard_placement,
-                )
-        finally:
-            if rendezvous is not None:
-                rendezvous.withdraw()
-        if wrappers:
-            result.coalesced_rounds = wrappers[0].coalesced_rounds
+        with observe_batches(on_batch):
+            result = _run_salted_query(
+                self.scheme,
+                relation,
+                self.transport,
+                self.rtt_ms,
+                self._compute,
+                self._request_salt(job.job_id),
+                job.token,
+                job.config,
+                on_event=job._record_event,
+                control=job._control,
+                session_label=f"job-{job.job_id}",
+                shard_executor=self._shard_executor(job.config),
+                shard_placement=self.shard_placement,
+            )
         self._cache_store(job.token, job.config, result, relation_key)
         # A fresh result observed a halting depth: make the warm-start
         # history durable (no-op without state_dir).
@@ -1674,11 +1635,6 @@ class TopKServer:
             threads = list(self._scheduler_thread_objs)
         for job in running:
             job.cancel()
-        # Drain the scan rendezvous before joining anything: a job parked
-        # at the coalescing barrier must wake with JobCancelled, not hang
-        # waiting for peers that will never arrive.
-        if self._rendezvous is not None:
-            self._rendezvous.close()
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
         self._drain_queue()

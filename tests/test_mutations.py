@@ -877,6 +877,10 @@ class TestDaemonMutation:
                 oid = server.insert([10 + i, 10 + i]).object_id
                 revealed = scheme.reveal(server.execute(token))
                 assert oid in {o for o, _ in revealed}
+                # The watch is latest-wins: an insert landing while an
+                # evaluation runs folds into the next one.  Wait for this
+                # insert's evaluation so each insert gets its own.
+                assert _wait_for(lambda: watch.evaluations >= i + 2)
             watch.stop()
             summary = watch.summary(timeout=120.0)
             assert summary.evaluations == 4
